@@ -186,15 +186,15 @@ def table4_policy(quick: bool) -> List[BenchResult]:
     t0 = time.perf_counter()
     scenario = run_policy_scenario("proportional", seed=1)
     wall = time.perf_counter() - t0
-    jobs = getattr(scenario, "jobs", None)
-    n_jobs = len(jobs) if jobs is not None else 0
     return [
         BenchResult(
             benchmark="table4_policy",
             metric="wall_s",
             value=wall,
             wall_s=wall,
-            params={"policy": "proportional", "seed": 1, "n_jobs": n_jobs},
+            params={
+                "policy": "proportional", "seed": 1, "n_jobs": len(scenario.metrics),
+            },
         )
     ]
 

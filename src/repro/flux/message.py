@@ -91,8 +91,8 @@ class FluxRPCError(RuntimeError):
 class RPCTimeoutError(FluxRPCError):
     """An RPC ran out of retry attempts without ever seeing a response.
 
-    Raised locally by :meth:`repro.flux.module.Module.rpc_with_retry`
-    (there is no response message to carry an errnum); uses POSIX
+    Reported locally by :meth:`repro.flux.module.Module.gather` as the
+    leg's outcome (there is no response message to carry an errnum); uses POSIX
     ``ETIMEDOUT`` (110) so callers can treat it like any RPC failure.
     """
 

@@ -11,11 +11,12 @@ and unload modules repeatedly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.flux.broker import Broker, ServiceHandler
-from repro.flux.message import Message, RPCTimeoutError
-from repro.simkernel import AnyOf, PeriodicTimer, Process, SimEvent, Timeout
+from repro.flux.message import FluxRPCError, Message, RPCTimeoutError
+from repro.simkernel import PeriodicTimer, Process, SimEvent
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,7 @@ class RetryConfig:
 
     Production TBON peers can die or hang silently — a request then
     simply never gets a response. Any module fanning out RPCs uses this
-    policy (via :meth:`Module.rpc_with_retry`) to bound how long it
+    policy (via :meth:`Module.gather`) to bound how long it
     waits per node and how hard it retries before degrading to a
     per-node error instead of stalling or failing the whole operation.
 
@@ -63,6 +64,9 @@ class Module:
 
     #: Subclasses set this; it is the `flux module load` name.
     name: str = "module"
+    #: Set by :meth:`teardown`; an in-flight :meth:`gather` then sends
+    #: no more retries.
+    _torn_down: bool = False
 
     def __init__(self, broker: Broker) -> None:
         self.broker = broker
@@ -83,6 +87,7 @@ class Module:
 
     def teardown(self) -> None:
         """Tear down everything this module created (idempotent)."""
+        self._torn_down = True
         for topic in self._topics:
             self.broker.unregister_service(topic)
         self._topics.clear()
@@ -127,56 +132,114 @@ class Module:
     ) -> SimEvent:
         return self.broker.rpc(dst_rank, topic, payload)
 
-    def rpc_with_retry(
-        self,
-        dst_rank: int,
-        topic: str,
-        payload: Optional[Dict[str, Any]] = None,
-        retry: Optional[RetryConfig] = None,
-        first_future: Optional[SimEvent] = None,
-    ):
-        """Generator: RPC with per-attempt timeout and bounded retries.
+    def gather(
+        self, legs: Sequence[Tuple[int, str, Optional[Dict[str, Any]], RetryConfig]]
+    ) -> SimEvent:
+        """Fan RPCs out and gather their outcomes, each leg under its own
+        timeout and bounded retry/backoff.
 
-        Yield from inside a spawned process::
+        Each leg is ``(dst_rank, topic, payload, retry)``. Requests go
+        out in leg order (send order fixes the seeded latency draws).
+        Responses settle their leg from a callback on the RPC future, so
+        a completion costs no engine event. Each attempt wave arms one
+        deadline per distinct timeout; when it fires, the unanswered
+        legs are counted (``rpc_timeouts_total`` / ``rpc_retries_total``)
+        and re-sent in leg order with their timeout times ``backoff``.
+        A late response to an attempt a retry replaced is ignored. Once
+        every leg has settled, the outstanding deadlines are cancelled.
 
-            res = yield from self.rpc_with_retry(rank, topic, payload)
-
-        Returns the response payload; raises
+        Returns an event whose value lists, per leg, the response
+        payload, the :class:`~repro.flux.message.FluxRPCError` the
+        service answered with (error responses are not retried: the peer
+        is alive, it just refused), or an
         :class:`~repro.flux.message.RPCTimeoutError` once every attempt
-        has timed out, or :class:`~repro.flux.message.FluxRPCError` if
-        the service answered with an errnum (error responses are not
-        retried — the peer is alive, it just refused).
-
-        ``first_future`` lets a caller that already sent the request
-        (to keep a fan-out's send order deterministic) hand over the
-        pending future; retries re-send ``payload`` themselves. Each
-        timeout/resend is counted (``rpc_timeouts_total`` /
-        ``rpc_retries_total``); a late response to an abandoned attempt
-        is delivered to its orphaned future and ignored.
+        has timed out.
         """
-        cfg = retry if retry is not None else RetryConfig()
-        metrics = self.broker.telemetry.metrics
-        future = (
-            first_future
-            if first_future is not None
-            else self.rpc(dst_rank, topic, payload)
-        )
-        timeout_s = cfg.timeout_s
-        for attempt in range(cfg.retries + 1):
-            idx, res = yield AnyOf(self.sim, [future, Timeout(timeout_s)])
-            if idx == 0:
-                return res
+        return _Gather(self, legs).done
+
+
+class _Gather:
+    """The in-flight state of one :meth:`Module.gather`."""
+
+    __slots__ = ("module", "legs", "results", "futures", "timeouts",
+                 "attempts", "left", "deadlines", "done")
+
+    def __init__(self, module: Module, legs) -> None:
+        self.module = module
+        self.legs = legs
+        n = len(legs)
+        self.results: List[Any] = [None] * n
+        #: Each leg's current attempt; None once the leg has settled.
+        self.futures: List[Optional[SimEvent]] = [None] * n
+        self.timeouts = [leg[3].timeout_s for leg in legs]
+        self.attempts = [0] * n
+        self.left = n
+        self.deadlines: List[Any] = []
+        self.done = SimEvent(module.sim)
+        if not n:
+            self.done.succeed(self.results)
+            return
+        for i in range(n):
+            self._send(i)
+        self._arm(range(n))
+
+    def _send(self, i: int) -> None:
+        dst, topic, payload, _ = self.legs[i]
+        future = self.module.rpc(dst, topic, payload)
+        self.futures[i] = future
+        future.add_callback(partial(self._on_reply, i))
+
+    def _arm(self, idxs) -> None:
+        waves: Dict[float, List[int]] = {}
+        for i in idxs:
+            waves.setdefault(self.timeouts[i], []).append(i)
+        for timeout_s, wave in waves.items():
+            self.deadlines.append(
+                self.module.sim.schedule(timeout_s, self._expire, wave)
+            )
+
+    def _on_reply(self, i: int, future: SimEvent) -> None:
+        if self.futures[i] is not future:
+            return  # a retry replaced this attempt
+        try:
+            res = future.value
+        except FluxRPCError as exc:
+            res = exc
+        self._settle(i, res)
+
+    def _expire(self, wave: List[int]) -> None:
+        if self.module._torn_down:
+            return
+        metrics = self.module.broker.telemetry.metrics
+        resend = []
+        for i in wave:
+            if self.futures[i] is None:
+                continue  # answered in time
+            dst, topic, _, cfg = self.legs[i]
             metrics.counter(
                 "rpc_timeouts_total",
                 labels={"topic": topic},
                 help="RPC attempts abandoned after their per-attempt timeout",
             ).inc()
-            if attempt < cfg.retries:
+            if self.attempts[i] < cfg.retries:
                 metrics.counter(
                     "rpc_retries_total",
                     labels={"topic": topic},
                     help="RPC requests re-sent after a timed-out attempt",
                 ).inc()
-                timeout_s *= cfg.backoff
-                future = self.rpc(dst_rank, topic, payload)
-        raise RPCTimeoutError(topic, dst_rank, cfg.retries + 1)
+                self.attempts[i] += 1
+                self.timeouts[i] *= cfg.backoff
+                self._send(i)
+                resend.append(i)
+            else:
+                self._settle(i, RPCTimeoutError(topic, dst, cfg.retries + 1))
+        self._arm(resend)
+
+    def _settle(self, i: int, res: Any) -> None:
+        self.results[i] = res
+        self.futures[i] = None
+        self.left -= 1
+        if self.left == 0:
+            for deadline in self.deadlines:
+                deadline.cancel()
+            self.done.succeed(self.results)

@@ -12,7 +12,8 @@ aggregate back. Two collection strategies are provided:
   Exercised by the TBON ablation bench.
 
 Collection degrades per node rather than failing whole queries: each
-fan-out leg runs a per-node timeout with bounded retry/backoff
+fan-out leg (one :meth:`~repro.flux.module.Module.gather` leg) runs a
+per-node timeout with bounded retry/backoff
 (:class:`~repro.flux.module.RetryConfig`), and a node that never
 answers contributes an *error record* — same shape as a node result but
 with empty samples, ``complete=False`` and an ``error`` string — so one
@@ -33,7 +34,6 @@ from repro.flux.message import (
 )
 from repro.flux.module import Module, RetryConfig
 from repro.monitor.node_agent import QUERY_TOPIC
-from repro.simkernel import AllOf, SimEvent
 from repro.telemetry import AGGREGATION_COST_PER_NODE_S
 
 GET_JOB_POWER_TOPIC = "power-monitor.get-job-power"
@@ -82,20 +82,49 @@ def _subtree_query(
     return payload
 
 
-def _merge_legs(results: List[List[Dict[str, Any]]]) -> List[Dict[str, Any]]:
-    """Flatten per-leg record lists in leg order, without copying records.
+def _tree_legs(module: Module, wanted, t0: float, t1: float, max_samples=None):
+    """The tree strategy's gather legs at ``module``'s broker.
 
-    A lone leg's list is passed through as-is: response payloads are
-    write-once after they are handed to ``respond``, so an aggregator
-    can forward its only child's list up the tree instead of rebuilding
-    it at every level.
+    Its own node agent first (when wanted), then one subtree query per
+    child whose subtree intersects ``wanted``.
     """
-    if len(results) == 1:
-        return results[0]
-    merged: List[Dict[str, Any]] = []
-    for leg in results:
-        merged.extend(leg)
-    return merged
+    broker = module.broker
+    extra = {} if max_samples is None else {"max_samples": max_samples}
+    legs = []
+    if broker.rank in wanted:
+        legs.append((broker.rank, QUERY_TOPIC,
+                     {"t_start": t0, "t_end": t1, **extra}, module.retry))
+    for child in broker.overlay.children(broker.rank):
+        subtree = _subtree_ranks(broker.overlay, child) & wanted
+        if subtree:
+            sub = sorted(subtree)
+            legs.append((child, SUBTREE_TOPIC, _subtree_query(sub, t0, t1, extra),
+                         _subtree_retry(module.retry, broker.overlay, child, sub)))
+    return legs
+
+
+def _leg_records(broker: Broker, legs, results) -> List[Dict[str, Any]]:
+    """Node records of gathered legs, in leg order, without copying records.
+
+    A failed leg degrades to one error record per rank it covered (a
+    subtree leg covers its whole subtree). A lone subtree leg's list is
+    passed through as-is: response payloads are write-once after they
+    are handed to ``respond``, so an aggregator can forward its only
+    child's list up the tree instead of rebuilding it at every level.
+    """
+    if (len(legs) == 1 and legs[0][1] == SUBTREE_TOPIC
+            and not isinstance(results[0], FluxRPCError)):
+        return results[0]["nodes"]
+    nodes: List[Dict[str, Any]] = []
+    for (dst, topic, payload, _), res in zip(legs, results):
+        if isinstance(res, FluxRPCError):
+            covered = payload["ranks"] if topic == SUBTREE_TOPIC else [dst]
+            nodes.extend(_error_records(broker, covered, res))
+        elif topic == SUBTREE_TOPIC:
+            nodes.extend(res["nodes"])
+        else:
+            nodes.append(res)
+    return nodes
 
 
 def _error_records(
@@ -166,10 +195,7 @@ class RootAgentModule(Module):
             labels={"strategy": self.strategy},
             help="job-power aggregation requests served by the root agent",
         ).inc()
-        if self.strategy == "tree":
-            self.spawn(self._collect_tree(msg, ranks, t_start, t_end, max_samples))
-        else:
-            self.spawn(self._collect_fanout(msg, ranks, t_start, t_end, max_samples))
+        self.spawn(self._collect(msg, ranks, t_start, t_end, max_samples))
 
     def _finish_aggregation(
         self, t_start: float, n_ranks: int, nodes: List[Dict[str, Any]]
@@ -197,83 +223,22 @@ class RootAgentModule(Module):
                 failed_nodes=n_errors, of=n_ranks, strategy=self.strategy,
             )
 
-    def _watch_node(self, rank: int, query: Dict[str, Any], future: SimEvent):
-        """One fan-out leg: retry the node query, degrade on exhaustion."""
-        try:
-            res = yield from self.rpc_with_retry(
-                rank, QUERY_TOPIC, query, retry=self.retry, first_future=future
-            )
-            return [res]
-        except FluxRPCError as exc:
-            return _error_records(self.broker, [rank], exc)
-
-    def _watch_subtree(self, child: int, subranks, payload, future: SimEvent):
-        """One tree leg: a dead child degrades its whole subtree."""
-        try:
-            res = yield from self.rpc_with_retry(
-                child, SUBTREE_TOPIC, payload,
-                retry=_subtree_retry(
-                    self.retry, self.broker.overlay, child, subranks
-                ),
-                first_future=future,
-            )
-            return res["nodes"]
-        except FluxRPCError as exc:
-            return _error_records(self.broker, subranks, exc)
-
-    def _collect_fanout(
+    def _collect(
         self, msg: Message, ranks: List[int], t0: float, t1: float, max_samples=None
     ):
         t_begin = self.sim.now
-        # One shared dict for every leg; CachedSizeDict so the wire
-        # size is walked once, not once per node-leg message.
-        query = CachedSizeDict(t_start=t0, t_end=t1)
-        if max_samples is not None:
-            query["max_samples"] = max_samples
-        # Send every request first (send order fixes the deterministic
-        # latency-draw order), then hand each pending future to a
-        # watcher that owns its timeout/retry/degradation.
-        futures = [self.rpc(rank, QUERY_TOPIC, query) for rank in ranks]
-        watchers = [
-            self.spawn(self._watch_node(rank, query, fut))
-            for rank, fut in zip(ranks, futures)
-        ]
-        results = yield AllOf(self.sim, watchers)
-        nodes = _merge_legs(results)
-        self._finish_aggregation(t_begin, len(ranks), nodes)
-        self.broker.respond(msg, {"nodes": nodes})
-
-    def _collect_tree(
-        self, msg: Message, ranks: List[int], t0: float, t1: float, max_samples=None
-    ):
-        """Hierarchical collection: ask each root child for its subtree."""
-        t_begin = self.sim.now
-        wanted = set(ranks)
-        extra = {} if max_samples is None else {"max_samples": max_samples}
-        legs = []  # (kind, target, subranks, payload)
-        if 0 in wanted:
-            legs.append(("node", 0, [0], {"t_start": t0, "t_end": t1, **extra}))
-        for child in self.broker.overlay.children(0):
-            subtree = _subtree_ranks(self.broker.overlay, child) & wanted
-            if subtree:
-                sub = sorted(subtree)
-                legs.append(
-                    ("subtree", child, sub, _subtree_query(sub, t0, t1, extra))
-                )
-        futures = [
-            self.rpc(target, QUERY_TOPIC if kind == "node" else SUBTREE_TOPIC, payload)
-            for kind, target, _, payload in legs
-        ]
-        watchers = [
-            self.spawn(
-                self._watch_node(target, payload, fut)
-                if kind == "node"
-                else self._watch_subtree(target, subranks, payload, fut)
-            )
-            for (kind, target, subranks, payload), fut in zip(legs, futures)
-        ]
-        results = yield AllOf(self.sim, watchers)
-        nodes = _merge_legs(results)
+        if self.strategy == "tree":
+            # Hierarchical: ask each root child for its subtree.
+            legs = _tree_legs(self, set(ranks), t0, t1, max_samples)
+        else:
+            # One shared dict for every leg; CachedSizeDict so the wire
+            # size is walked once, not once per node-leg message.
+            query = CachedSizeDict(t_start=t0, t_end=t1)
+            if max_samples is not None:
+                query["max_samples"] = max_samples
+            legs = [(rank, QUERY_TOPIC, query, self.retry) for rank in ranks]
+        results = yield self.gather(legs)
+        nodes = _leg_records(self.broker, legs, results)
         self._finish_aggregation(t_begin, len(ranks), nodes)
         self.broker.respond(msg, {"nodes": nodes})
 
@@ -305,62 +270,10 @@ class SubtreeAggregatorModule(Module):
         t1 = float(msg.payload["t_end"])
         self.spawn(self._collect(msg, ranks, t0, t1, msg.payload.get("max_samples")))
 
-    def _watch_node(self, rank: int, query, future: SimEvent):
-        try:
-            res = yield from self.rpc_with_retry(
-                rank, QUERY_TOPIC, query, retry=self.retry, first_future=future
-            )
-            return [res]
-        except FluxRPCError as exc:
-            return _error_records(self.broker, [rank], exc)
-
-    def _watch_subtree(self, child: int, subranks, payload, future: SimEvent):
-        try:
-            res = yield from self.rpc_with_retry(
-                child, SUBTREE_TOPIC, payload,
-                retry=_subtree_retry(
-                    self.retry, self.broker.overlay, child, subranks
-                ),
-                first_future=future,
-            )
-            return res["nodes"]
-        except FluxRPCError as exc:
-            return _error_records(self.broker, subranks, exc)
-
     def _collect(self, msg: Message, ranks, t0: float, t1: float, max_samples=None):
-        extra = {} if max_samples is None else {"max_samples": max_samples}
-        legs = []
-        if self.broker.rank in ranks:
-            legs.append(
-                (
-                    "node",
-                    self.broker.rank,
-                    [self.broker.rank],
-                    {"t_start": t0, "t_end": t1, **extra},
-                )
-            )
-        for child in self.broker.overlay.children(self.broker.rank):
-            subtree = _subtree_ranks(self.broker.overlay, child) & ranks
-            if subtree:
-                sub = sorted(subtree)
-                legs.append(
-                    ("subtree", child, sub, _subtree_query(sub, t0, t1, extra))
-                )
-        futures = [
-            self.rpc(target, QUERY_TOPIC if kind == "node" else SUBTREE_TOPIC, payload)
-            for kind, target, _, payload in legs
-        ]
-        watchers = [
-            self.spawn(
-                self._watch_node(target, payload, fut)
-                if kind == "node"
-                else self._watch_subtree(target, subranks, payload, fut)
-            )
-            for (kind, target, subranks, payload), fut in zip(legs, futures)
-        ]
-        results = yield AllOf(self.sim, watchers)
-        nodes = _merge_legs(results)
-        self.broker.respond(msg, {"nodes": nodes})
+        legs = _tree_legs(self, ranks, t0, t1, max_samples)
+        results = yield self.gather(legs)
+        self.broker.respond(msg, {"nodes": _leg_records(self.broker, legs, results)})
 
 
 def _subtree_ranks(overlay, root: int):

@@ -17,7 +17,7 @@ RPC layer) be written in direct style.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.simkernel.engine import Simulator
 
@@ -53,7 +53,8 @@ class SimEvent(Waitable):
 
     May be succeeded or failed exactly once; waiting on an already
     triggered event resumes the waiter immediately (at the current
-    simulated time).
+    simulated time). Callbacks added with :meth:`add_callback` run
+    synchronously inside ``succeed``/``fail``, costing no engine event.
     """
 
     _PENDING = object()
@@ -64,6 +65,7 @@ class SimEvent(Waitable):
         self._error: Optional[BaseException] = None
         self._done = False
         self._waiters: List[Process] = []
+        self._callbacks: Optional[List[Callable[["SimEvent"], Any]]] = None
 
     @property
     def triggered(self) -> bool:
@@ -85,6 +87,8 @@ class SimEvent(Waitable):
         for proc in self._waiters:
             self._sim.schedule(0.0, proc._resume, value)
         self._waiters.clear()
+        if self._callbacks:
+            self._run_callbacks()
         return self
 
     def fail(self, error: BaseException) -> "SimEvent":
@@ -95,7 +99,23 @@ class SimEvent(Waitable):
         for proc in self._waiters:
             self._sim.schedule(0.0, proc._throw, error)
         self._waiters.clear()
+        if self._callbacks:
+            self._run_callbacks()
         return self
+
+    def add_callback(self, callback: Callable[["SimEvent"], Any]) -> None:
+        """Call ``callback(event)`` when the event triggers (now if it has)."""
+        if self._done:
+            callback(self)
+        elif self._callbacks is None:
+            self._callbacks = [callback]
+        else:
+            self._callbacks.append(callback)
+
+    def _run_callbacks(self) -> None:
+        callbacks, self._callbacks = self._callbacks, None
+        for callback in callbacks:
+            callback(self)
 
     def _subscribe(self, sim: Simulator, process: "Process") -> None:
         if self._done:

@@ -68,3 +68,19 @@ def test_bench_repeats_recorded(tmp_path):
     assert rc == 0
     data = load_report(str(tmp_path / "BENCH_rep.json"))
     assert data["repeats"] == 2
+
+
+def test_table4_policy_records_the_scenario_job_count(monkeypatch):
+    from repro.bench import suites
+    from repro.experiments import table4_policies
+
+    ran = []
+    real = table4_policies.run_policy_scenario
+
+    def spy(name, seed=1):
+        ran.append(real(name, seed=seed))
+        return ran[-1]
+
+    monkeypatch.setattr(table4_policies, "run_policy_scenario", spy)
+    [result] = suites.table4_policy(quick=True)
+    assert result.params["n_jobs"] == len(ran[0].metrics) > 0

@@ -20,6 +20,11 @@
 #   tenancy  - multi-tenant gate: the fairshare property + model suites,
 #              then a forced-tenancy fuzz batch under the tenant
 #              invariant checkers (see docs/tenancy.md)
+#   perfbench - the repository benchmark's own tests (perfbench/tests, outside
+#              the tier-1 testpaths), then a 1 s telemetry_sweep run on seed 1
+#              that must exit 0: it checks the query latencies pinned in
+#              perfbench/expected.json, so the monitor query path stays
+#              bit-identical
 #   bench    - quick perf suite compared against the committed
 #              BENCH_columnar.json baseline; OFF by default (set
 #              REPRO_BENCH_GATE=1) so the flow stays fast
@@ -50,7 +55,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-STAGES="${STAGES:-tier1 shuffle cov simtest federate policies lifecycle serve tenancy bench}"
+STAGES="${STAGES:-tier1 shuffle cov simtest federate policies lifecycle serve tenancy perfbench bench}"
 REPRO_COV_MIN="${REPRO_COV_MIN:-80}"
 REPRO_SHUFFLE_SEED="${REPRO_SHUFFLE_SEED:-1}"
 REPRO_SIMTEST_SEEDS="${REPRO_SIMTEST_SEEDS:-25}"
@@ -133,6 +138,13 @@ for stage in $STAGES; do
                 tests/test_tenancy_model.py
             banner "tenancy: forced-tenancy fuzz batch ($REPRO_TENANCY_SEEDS seeds)"
             python -m repro.cli tenants --seeds "$REPRO_TENANCY_SEEDS"
+            ;;
+        perfbench)
+            banner "perfbench: the benchmark's own tests"
+            python -m pytest -q perfbench/tests
+            banner "perfbench: telemetry_sweep seed 1 against perfbench/expected.json"
+            python3 perfbench/run.py --workload telemetry_sweep --seed 1 \
+                --seconds 1 --trace 0
             ;;
         bench)
             if [ "$REPRO_BENCH_GATE" != "1" ]; then
