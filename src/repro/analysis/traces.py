@@ -45,9 +45,7 @@ class ClusterPowerTrace:
         for r in self.ranks:
             node = self.instance.nodes[r]
             self.node_series[node.hostname].append(node.total_power_w())
-            self.gpu_series[node.hostname].append(
-                tuple(d.actual_w for d in node.gpu_domains)
-            )
+            self.gpu_series[node.hostname].append(node.gpu_power_w())
 
     def stop(self) -> None:
         self._timer.stop()

@@ -140,8 +140,9 @@ def split_site_budget_np(
     Same water-fill (distribute by demand weight, pin starved clusters
     at floors then overshooting clusters at ceilings, re-divide, then
     top up stranded budget), with the per-round membership tests and
-    clamps done as array masks. Reductions are sequential in sorted
-    name order, matching the scalar accumulator exactly.
+    clamps done as array masks. Reductions are sequential in the
+    scalar's order (sorted names for weights, pin order for pinned
+    shares), matching its accumulators exactly.
     """
     names = sorted(demands)
     if not names:
@@ -214,26 +215,25 @@ def split_site_budget_np(
 
     target = site_allocation_total_w(site_budget_w, demands, ceilings)
     tol = REL_EPS * max(1.0, target)
-    # The scalar top-up sums pinned.values() in *name* order (the dict
-    # holds every cluster once the fill finished), so switch to that.
-    all_idx = list(range(n))
-
-    def total_share() -> float:
-        return _seq_sum(share[i] for i in all_idx)
-
-    while target - total_share() > tol:
-        leftover = target - total_share()
+    # The scalar top-up sums pinned.values(), whose dict order is still
+    # the order clusters were first pinned in (re-assigning a key keeps
+    # its place), so keep summing in pin order.
+    while target - pinned_sum() > tol:
+        leftover = target - pinned_sum()
         open_mask = ~has_hi | (share < hi - tol)
         open_idx = np.nonzero(open_mask)[0]
         if open_idx.size == 0:  # pragma: no cover - target <= sum of ceilings
             break
         weight = eff[open_idx]
         total_w = _seq_sum(weight)
-        if total_w <= 0.0:
+        add = leftover * weight / total_w if total_w > 0.0 else None
+        if add is None or not add.any():
+            # Idle site, or every weighted add underflowed to zero.
             add = np.full(open_idx.size, leftover / open_idx.size)
-        else:
-            add = leftover * weight / total_w
         new = share[open_idx] + add
         new = np.where(has_hi[open_idx], np.minimum(new, hi[open_idx]), new)
+        moved = bool(np.any(new != share[open_idx]))
         share[open_idx] = new
+        if not moved:
+            break
     return {c: float(share[i]) for i, c in enumerate(names)}

@@ -154,8 +154,10 @@ def split_site_budget(
     # Top-up: a floor pin followed by binding ceilings can leave budget
     # stranded (the floor-pinned cluster was skipped when the ceiling
     # surplus flowed back). Pour any leftover into clusters still below
-    # their ceiling — proportionally to demand, equally when idle —
-    # until the conserved target is hit or every ceiling binds.
+    # their ceiling — proportionally to demand, equally when idle or
+    # when every weighted add underflows to zero (subnormal demands) —
+    # until the conserved target is hit, every ceiling binds, or a pass
+    # moves no share (adds below a share's ulp).
     target = site_allocation_total_w(site_budget_w, demands, ceilings)
     tol = REL_EPS * max(1.0, target)
     while target - sum(pinned.values()) > tol:
@@ -167,16 +169,20 @@ def split_site_budget(
             break
         weight = {c: eff[c] for c in open_c}
         total_w = sum(weight.values())
-        for c in open_c:
-            add = (
-                leftover / len(open_c)
-                if total_w <= 0.0
-                else leftover * weight[c] / total_w
-            )
+        adds = []
+        if total_w > 0.0:
+            adds = [leftover * weight[c] / total_w for c in open_c]
+        if not any(adds):
+            adds = [leftover / len(open_c)] * len(open_c)
+        moved = False
+        for c, add in zip(open_c, adds):
             new = pinned[c] + add
             if hi[c] is not None and new > float(hi[c]):
                 new = float(hi[c])
+            moved = moved or new != pinned[c]
             pinned[c] = new
+        if not moved:
+            break
     return {c: pinned[c] for c in names}
 
 

@@ -11,7 +11,7 @@ nodes.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.flux.broker import Broker
 from repro.flux.jobspec import JobRecord, Jobspec, JobState
@@ -44,6 +44,10 @@ class JobManager(Module):
         self.executor = executor
         self.kvs = kvs
         self.jobs: Dict[int, JobRecord] = {}
+        #: Jobids not yet in a terminal state: added at submit, removed
+        #: wherever a job is cancelled, fails or completes, so
+        #: :meth:`all_complete` needs no scan of ``jobs``.
+        self._live: Set[int] = set()
         self._queue: List[int] = []
         self._deps: Dict[int, List[int]] = {}
         self._next_jobid = 1
@@ -77,6 +81,7 @@ class JobManager(Module):
         )
         self._next_jobid += 1
         self.jobs[record.jobid] = record
+        self._live.add(record.jobid)
         self._deps[record.jobid] = deps
         self._queue.append(record.jobid)
         self._publish_state(record)
@@ -101,6 +106,7 @@ class JobManager(Module):
         if record.state is not JobState.SUBMITTED:
             raise RuntimeError(f"job {jobid} is {record.state.value}; cannot cancel")
         self._queue.remove(jobid)
+        self._live.discard(jobid)
         record.state = JobState.CANCELLED
         record.t_end = self.sim.now
         self._publish_state(record)
@@ -117,6 +123,7 @@ class JobManager(Module):
             for jobid in list(self._queue):
                 if self._deps_state(jobid) == "broken":
                     self._queue.remove(jobid)
+                    self._live.discard(jobid)
                     record = self.jobs[jobid]
                     record.state = JobState.CANCELLED
                     record.t_end = self.sim.now
@@ -158,6 +165,7 @@ class JobManager(Module):
             raise RuntimeError(f"job {jobid} finished twice?")
         record.state = state
         record.t_end = self.sim.now
+        self._live.discard(jobid)
         self.scheduler.release(record.ranks)
         self._publish_state(record)
         self._sync_kvs(record)
@@ -173,7 +181,7 @@ class JobManager(Module):
         return [r for r in self.jobs.values() if r.state is JobState.RUNNING]
 
     def all_complete(self) -> bool:
-        return all(not r.state.active for r in self.jobs.values())
+        return not self._live
 
     def makespan_s(self) -> Optional[float]:
         """End of last job minus submit of first (the paper's metric)."""

@@ -86,7 +86,8 @@ class PowerDomain:
         self._caps: Dict[str, float] = {}
         #: Owning node, set by Node construction. Every mutation that
         #: can change observable power bumps the owner's ``power_rev``
-        #: so sampling caches know when their state went stale.
+        #: so sampling caches and the node's power memo know when their
+        #: state went stale; writes of the installed value do not.
         self._owner = None
 
     # ------------------------------------------------------------------
@@ -98,16 +99,21 @@ class PowerDomain:
         return self._demand_w
 
     def set_demand(self, watts: float) -> None:
-        """Set workload demand; clamped into [idle_w, max_w]."""
-        self._demand_w = float(min(max(watts, self.spec.idle_w), self.spec.max_w))
+        """Set workload demand; clamped into [idle_w, max_w].
+
+        Rewriting the installed value is a no-op: the owner's
+        ``power_rev`` only moves when observable power can change.
+        """
+        watts = float(min(max(watts, self.spec.idle_w), self.spec.max_w))
+        if watts == self._demand_w:
+            return
+        self._demand_w = watts
         if self._owner is not None:
             self._owner.bump_power_rev()
 
     def clear_demand(self) -> None:
         """Reset demand to the idle floor (workload departed)."""
-        self._demand_w = self.spec.idle_w
-        if self._owner is not None:
-            self._owner.bump_power_rev()
+        self.set_demand(self.spec.idle_w)
 
     # ------------------------------------------------------------------
     # Capping
@@ -120,14 +126,18 @@ class PowerDomain:
         """
         if not self.spec.cappable:
             raise ValueError(f"domain {self.spec.name} is not cappable")
+        caps = self._caps
         if watts is None:
-            self._caps.pop(source, None)
-            if self._owner is not None:
-                self._owner.bump_power_rev()
-            return
-        lo = self.spec.min_cap_w if self.spec.min_cap_w is not None else 0.0
-        hi = self.spec.max_cap_w if self.spec.max_cap_w is not None else self.spec.max_w
-        self._caps[source] = float(min(max(watts, lo), hi))
+            if caps.pop(source, None) is None:
+                return
+        else:
+            spec = self.spec
+            lo = spec.min_cap_w if spec.min_cap_w is not None else 0.0
+            hi = spec.max_cap_w if spec.max_cap_w is not None else spec.max_w
+            watts = float(min(max(watts, lo), hi))
+            if caps.get(source) == watts:
+                return
+            caps[source] = watts
         if self._owner is not None:
             self._owner.bump_power_rev()
 

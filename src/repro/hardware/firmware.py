@@ -92,7 +92,8 @@ class OPALFirmware:
         self.psr = psr
         self._node_cap_w: Optional[float] = None
         #: Owning node (set by Node construction); the node-level cap
-        #: changes observable power, so it bumps ``power_rev`` too.
+        #: changes observable power, so installing a different value
+        #: bumps ``power_rev`` too.
         self._owner = None
 
     @property
@@ -126,18 +127,21 @@ class OPALFirmware:
                 f"OPAL node cap {watts} W outside "
                 f"[{self.soft_min_w}, {self.node_max_w}] W"
             )
-        self._node_cap_w = float(watts)
-        if self._owner is not None:
-            self._owner.bump_power_rev()
+        watts = float(watts)
+        if watts != self._node_cap_w:
+            self._node_cap_w = watts
+            if self._owner is not None:
+                self._owner.bump_power_rev()
         derived = self.derived_gpu_cap_w
         for gpu in self._gpus:
             gpu.set_cap(self.CAP_SOURCE, derived)
         return derived if derived is not None else float("nan")
 
     def clear_node_power_cap(self) -> None:
-        self._node_cap_w = None
-        if self._owner is not None:
-            self._owner.bump_power_rev()
+        if self._node_cap_w is not None:
+            self._node_cap_w = None
+            if self._owner is not None:
+                self._owner.bump_power_rev()
         for gpu in self._gpus:
             gpu.set_cap(self.CAP_SOURCE, None)
 

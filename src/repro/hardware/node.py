@@ -11,7 +11,8 @@ only through the :class:`~repro.hardware.sensors.SensorSuite`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +67,55 @@ class NodeSpec:
     def domain_specs(self, kind: DomainKind) -> List[DomainSpec]:
         return [d for d in self.domains if d.kind is kind]
 
+    @cached_property
+    def kind_index(self) -> Dict[DomainKind, Tuple[int, ...]]:
+        """Positions in ``domains`` of each kind's domains, in order."""
+        index: Dict[DomainKind, List[int]] = {}
+        for i, d in enumerate(self.domains):
+            index.setdefault(d.kind, []).append(i)
+        return {kind: tuple(idx) for kind, idx in index.items()}
+
+    @cached_property
+    def view_index(self) -> Tuple[Tuple[int, ...], ...]:
+        """Positions of the CPU, accelerator (GPU, else OAM), memory and
+        measurable domains: what every node of this spec groups its
+        domains by, worked out once per spec."""
+        kinds = self.kind_index
+        return (
+            kinds.get(DomainKind.CPU, ()),
+            kinds.get(DomainKind.GPU) or kinds.get(DomainKind.OAM, ()),
+            kinds.get(DomainKind.MEMORY, ()),
+            tuple(i for i, d in enumerate(self.domains) if d.measurable),
+        )
+
+    @cached_property
+    def idle_power_w(self) -> float:
+        """Summed idle floors of every domain, in declaration order."""
+        return sum(d.idle_w for d in self.domains)
+
+    @cached_property
+    def cap_dials(
+        self,
+    ) -> Tuple[int, Tuple[float, float], int, Tuple[float, float]]:
+        """``(gpu_count, gpu_cap_range, socket_count, socket_cap_range)``.
+
+        Accelerators are the GPU domains, else the OAM packages. A cap
+        range is the first such domain's ``(min, max)`` in watts,
+        ``(0.0, 0.0)`` when the node has none.
+        """
+        gpus = self.domain_specs(DomainKind.GPU) or self.domain_specs(
+            DomainKind.OAM
+        )
+        cpus = self.domain_specs(DomainKind.CPU)
+        return (len(gpus), _cap_range(gpus), len(cpus), _cap_range(cpus))
+
+
+def _cap_range(specs: List[DomainSpec]) -> Tuple[float, float]:
+    if not specs:
+        return (0.0, 0.0)
+    spec = specs[0]
+    return (spec.min_cap_w or 0.0, spec.max_cap_w or spec.max_w)
+
 
 class Node:
     """One simulated server node.
@@ -93,40 +143,57 @@ class Node:
     ) -> None:
         self.hostname = hostname
         self.spec = spec
+        #: All domains in declaration order, for the power-summing loops.
+        self._domain_list: List[PowerDomain] = [
+            PowerDomain(ds) for ds in spec.domains
+        ]
         self.domains: Dict[str, PowerDomain] = {
-            ds.name: PowerDomain(ds) for ds in spec.domains
+            d.spec.name: d for d in self._domain_list
         }
-        self._by_kind: Dict[DomainKind, List[PowerDomain]] = {}
-        for dom in self.domains.values():
-            self._by_kind.setdefault(dom.spec.kind, []).append(dom)
+        for dom in self._domain_list:
+            dom._owner = self
+        # Domains never change after construction, so the views are
+        # built once and shared by every read.
+        doms = self._domain_list
+        cpu_i, gpu_i, mem_i, measurable_i = spec.view_index
+        #: CPU socket domains.
+        self.cpu_domains: Tuple[PowerDomain, ...] = tuple([doms[i] for i in cpu_i])
+        #: Individually-cappable accelerator domains (GPU or OAM).
+        self.gpu_domains: Tuple[PowerDomain, ...] = tuple([doms[i] for i in gpu_i])
+        #: Memory-subsystem domains.
+        self.memory_domains: Tuple[PowerDomain, ...] = tuple(
+            [doms[i] for i in mem_i]
+        )
         #: Measurable domains in declaration order — the sampling hot
         #: path iterates this instead of re-filtering ``domains`` on
-        #: every read. Domains are fixed after construction.
+        #: every read.
         self.measurable_domains: List[PowerDomain] = [
-            d for d in self.domains.values() if d.spec.measurable
+            doms[i] for i in measurable_i
         ]
-        #: All domains as a list, for the power-summing hot loops.
-        self._domain_list: List[PowerDomain] = list(self.domains.values())
         #: Power-state revision: bumped by every demand/cap mutation on
-        #: this node (domains and OPAL report in). Sampling caches key
-        #: on it — equal revisions guarantee identical observable power.
+        #: this node that can change observable power (domains and OPAL
+        #: report in; rewriting an installed value does not bump). The
+        #: power memo and the sampling caches key on it — equal
+        #: revisions guarantee identical observable power.
         self.power_rev = 0
+        #: Power memo: raw and total node power at ``_memo_rev``, the
+        #: per-GPU draw tuple at ``_gpu_rev``.
+        self._memo_rev = -1
+        self._raw_w = 0.0
+        self._total_w = 0.0
+        self._gpu_rev = -1
+        self._gpu_w: Tuple[float, ...] = ()
         #: Columnar sink, set by ColumnarNodeStore.adopt(); while set,
         #: every revision bump is mirrored into the store's arrays.
         self._col_sink = None
         self._col_index = -1
-        for dom in self._domain_list:
-            dom._owner = self
-
-        cpus = self._by_kind.get(DomainKind.CPU, [])
-        gpus = self._by_kind.get(DomainKind.GPU, [])
-        oams = self._by_kind.get(DomainKind.OAM, [])
 
         self.opal: Optional[OPALFirmware] = None
         self.nvml: Optional[NVMLDriver] = None
         self.esmi: Optional[ESMIDriver] = None
         self.rapl: Optional[RAPLDriver] = None
 
+        cpus, gpus = self.cpu_domains, self.gpu_domains
         if spec.platform == "lassen":
             self.opal = OPALFirmware(
                 gpu_domains=gpus,
@@ -143,7 +210,9 @@ class Node:
             # AMD management plane: E-SMI/HSMP over CPU + accelerator
             # packages (MI250X OAMs on Tioga, MI300A APUs on El Capitan-
             # class nodes — the APU has no separate host CPU domain).
-            self.esmi = ESMIDriver(cpu_domains=cpus, oam_domains=oams)
+            # These specs have no GPU-kind domains, so the accelerator
+            # view holds the OAM packages.
+            self.esmi = ESMIDriver(cpu_domains=cpus, oam_domains=gpus)
         else:
             self.rapl = RAPLDriver(cpu_domains=cpus)
             if gpus:
@@ -175,35 +244,37 @@ class Node:
     # Domain access
     # ------------------------------------------------------------------
     def by_kind(self, kind: DomainKind) -> List[PowerDomain]:
-        return list(self._by_kind.get(kind, []))
-
-    @property
-    def cpu_domains(self) -> List[PowerDomain]:
-        return self.by_kind(DomainKind.CPU)
-
-    @property
-    def gpu_domains(self) -> List[PowerDomain]:
-        """Individually-cappable accelerator domains (GPU or OAM)."""
-        return self.by_kind(DomainKind.GPU) or self.by_kind(DomainKind.OAM)
-
-    @property
-    def memory_domains(self) -> List[PowerDomain]:
-        return self.by_kind(DomainKind.MEMORY)
+        doms = self._domain_list
+        return [doms[i] for i in self.spec.kind_index.get(kind, ())]
 
     @property
     def n_gpus(self) -> int:
         """Logical GPU count (GCDs on Tioga: 2 per OAM domain)."""
-        gpus = self.by_kind(DomainKind.GPU)
-        if gpus:
-            return len(gpus)
-        return len(self.by_kind(DomainKind.OAM)) * self.spec.gpus_per_telemetry_domain
+        if DomainKind.GPU in self.spec.kind_index:
+            return len(self.gpu_domains)
+        return len(self.gpu_domains) * self.spec.gpus_per_telemetry_domain
 
     # ------------------------------------------------------------------
-    # Power
+    # Power (memoized per power revision)
     # ------------------------------------------------------------------
+    def _refresh_power(self) -> None:
+        raw = sum([d.actual_w for d in self._domain_list])
+        total = raw
+        opal = self.opal
+        if opal is not None and opal.node_cap_w is not None:
+            # OPAL residual enforcement: if the post-GPU-cap sum still
+            # exceeds the node cap, the sockets throttle and the node
+            # draws the cap (never below its idle floor).
+            total = min(raw, max(opal.node_cap_w, self.spec.idle_power_w))
+        self._raw_w = raw
+        self._total_w = total
+        self._memo_rev = self.power_rev
+
     def raw_power_w(self) -> float:
         """Sum of every domain's drawn power, before node-cap clipping."""
-        return sum([d.actual_w for d in self._domain_list])
+        if self._memo_rev != self.power_rev:
+            self._refresh_power()
+        return self._raw_w
 
     def total_power_w(self) -> float:
         """Node power after OPAL residual enforcement (if any).
@@ -212,13 +283,19 @@ class Node:
         node cap, OPAL throttles the sockets; the node then draws the
         cap. Elsewhere this equals :meth:`raw_power_w`.
         """
-        raw = self.raw_power_w()
-        if self.opal is not None and self.opal.node_cap_w is not None:
-            return min(raw, max(self.opal.node_cap_w, self.idle_power_w()))
-        return raw
+        if self._memo_rev != self.power_rev:
+            self._refresh_power()
+        return self._total_w
+
+    def gpu_power_w(self) -> Tuple[float, ...]:
+        """Per-accelerator drawn power, in :attr:`gpu_domains` order."""
+        if self._gpu_rev != self.power_rev:
+            self._gpu_w = tuple([d.actual_w for d in self.gpu_domains])
+            self._gpu_rev = self.power_rev
+        return self._gpu_w
 
     def idle_power_w(self) -> float:
-        return sum(d.spec.idle_w for d in self.domains.values())
+        return self.spec.idle_power_w
 
     # ------------------------------------------------------------------
     # Demand (set by running workloads)

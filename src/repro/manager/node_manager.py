@@ -24,7 +24,7 @@ non-watt control knobs; see :mod:`repro.manager.policies.safety`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro import variorum
 from repro.flux.broker import Broker
@@ -68,6 +68,14 @@ class NodeManagerModule(Module):
         self.policy = policy_factory()
         self.sample_interval_s = float(sample_interval_s)
         self.static_node_cap_w = static_node_cap_w
+        #: Device dial counts and capping ranges (watts) the policies
+        #: read, fixed by the platform spec.
+        (
+            self.gpu_count,
+            self.gpu_cap_range,
+            self.socket_count,
+            self.socket_cap_range,
+        ) = broker.node.spec.cap_dials
 
         self.node_limit_w: Optional[float] = None
         self.current_jobid: Optional[int] = None
@@ -115,30 +123,6 @@ class NodeManagerModule(Module):
     # ------------------------------------------------------------------
     # Hardware accessors used by policies
     # ------------------------------------------------------------------
-    @property
-    def gpu_count(self) -> int:
-        return len(self.broker.node.gpu_domains)
-
-    @property
-    def gpu_cap_range(self) -> Tuple[float, float]:
-        gpus = self.broker.node.gpu_domains
-        if not gpus:
-            return (0.0, 0.0)
-        spec = gpus[0].spec
-        return (spec.min_cap_w or 0.0, spec.max_cap_w or spec.max_w)
-
-    @property
-    def socket_count(self) -> int:
-        return len(self.broker.node.cpu_domains)
-
-    @property
-    def socket_cap_range(self) -> Tuple[float, float]:
-        cpus = self.broker.node.cpu_domains
-        if not cpus:
-            return (0.0, 0.0)
-        spec = cpus[0].spec
-        return (spec.min_cap_w or 0.0, spec.max_cap_w or spec.max_w)
-
     @property
     def job_present(self) -> bool:
         return self.current_jobid is not None
@@ -298,7 +282,7 @@ class NodeManagerModule(Module):
     def _track(self, _timer) -> None:
         node = self.broker.node
         node_w = node.total_power_w()
-        gpu_w = [d.actual_w for d in node.gpu_domains]
+        gpu_w = node.gpu_power_w()
         # Idle samples would poison the non-GPU estimate with a value
         # far below what a running workload draws, making the first GPU
         # budgets overshoot the node limit. Only learn from samples
@@ -323,7 +307,7 @@ class NodeManagerModule(Module):
                 self._non_cpu_est_w = (
                     EMA_ALPHA * non_cpu + (1.0 - EMA_ALPHA) * self._non_cpu_est_w
                 )
-        self._recent.append((self.sim.now, node_w, tuple(gpu_w)))
+        self._recent.append((self.sim.now, node_w, gpu_w))
         self.broker.telemetry.accountant.charge("manager", MANAGER_TRACK_COST_S)
         self.policy.on_sample(self.sim.now, node_w, gpu_w)
 

@@ -71,7 +71,8 @@ class PowerPolicy:
 
         ``timestamp`` is simulation seconds, ``node_w`` the measured
         whole-node power in watts, ``gpu_w`` the per-accelerator watts
-        in device order.
+        in device order (the node's memoized tuple; read it, never
+        mutate it).
         """
 
     def on_job_state(self, state: str, payload: dict) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.columnar.ops import (
@@ -105,7 +105,20 @@ def site_cases(draw):
     return budget, demands, floors, ceilings
 
 
+_SIX = ("alpha", "beta", "gamma", "delta", "eps", "zeta")
+
+
 @given(case=site_cases())
+# The top-up sums pinned shares in the order clusters were pinned, not
+# in name order: summing by name put ``eps`` one ulp low here.
+@example(case=(
+    549813.5,
+    {c: 1.0 if c == "zeta" else 0.0 for c in _SIX},
+    {**{c: 0.0 for c in _SIX}, "delta": 45817.791666666664,
+     "eps": 41999.64236111111, "zeta": 21656.065592447914},
+    {**{c: 0.0 for c in _SIX}, "gamma": 135000.0,
+     "delta": 45817.84166666667, "eps": None, "zeta": 21656.065592447914},
+))
 def test_split_site_budget_np_matches_scalar(case):
     budget, demands, floors, ceilings = case
     scalar = split_site_budget(budget, demands, floors, ceilings)

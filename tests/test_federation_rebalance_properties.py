@@ -179,3 +179,19 @@ def test_stranded_budget_topped_up():
     )
     assert math.isclose(sum(shares.values()), 28_967.5, rel_tol=1e-9)
     assert shares["c1"] == 14_752.1
+
+
+@pytest.mark.parametrize(
+    "demands",
+    [{"c0": 5e-324}, {"a": 5e-324, "b": 5e-324}, {"a": 5e-324, "b": 0.0}],
+)
+def test_subnormal_demand_top_up_terminates(demands):
+    """Subnormal demands make every weighted top-up add underflow to 0
+    (``leftover * 5e-324 / 5e-324 == 0.0``): the top-up falls back to
+    an equal split instead of spinning, and still conserves."""
+    from repro.columnar.ops import split_site_budget_np
+
+    shares = split_site_budget(13450.5, demands, {}, {})
+    assert set(shares) == set(demands)
+    assert math.isclose(sum(shares.values()), 13450.5, rel_tol=1e-9)
+    assert split_site_budget_np(13450.5, demands, {}, {}) == shares

@@ -142,3 +142,80 @@ def test_runtime_property():
     assert rec.runtime_s is None
     inst.run_until_complete()
     assert rec.runtime_s == pytest.approx(rec.t_end - rec.t_start)
+
+
+# ---------------------------------------------------------------------------
+# Live-job set: all_complete() without a scan
+# ---------------------------------------------------------------------------
+
+def _scan_complete(jm) -> bool:
+    return all(not r.state.active for r in jm.jobs.values())
+
+
+def _step_checking(inst, jm, until=None) -> None:
+    while not _scan_complete(jm) and (until is None or inst.sim.now < until):
+        assert jm.all_complete() is False
+        assert inst.sim.step()
+    assert jm.all_complete() == _scan_complete(jm)
+
+
+def test_all_complete_agrees_with_scan_across_every_transition(lassen4):
+    """submit, cancel, broken-dependency cancel, job_failed, completion."""
+    jm = lassen4.jobmanager
+    assert jm.all_complete() and _scan_complete(jm)
+    done = lassen4.submit(Jobspec(app="laghos", nnodes=2))
+    crash = lassen4.submit(
+        Jobspec(app="laghos", nnodes=2, params={"fail_at_s": 3.0})
+    )
+    queued = lassen4.submit(Jobspec(app="laghos", nnodes=4))
+    orphan = jm.submit(Jobspec(app="gemm", nnodes=1), depends_on=[queued.jobid])
+    failed_dep = jm.submit(Jobspec(app="gemm", nnodes=1), depends_on=[crash.jobid])
+    assert jm.all_complete() is False
+    _step_checking(lassen4, jm, until=1.0)
+    jm.cancel(queued.jobid)
+    assert queued.state is JobState.CANCELLED
+    assert not jm.all_complete() and not _scan_complete(jm)
+    _step_checking(lassen4, jm)
+    assert done.state is JobState.COMPLETED
+    assert crash.state is JobState.FAILED
+    assert orphan.state is JobState.CANCELLED
+    assert failed_dep.state is JobState.CANCELLED
+    assert jm.all_complete() and _scan_complete(jm)
+    # A fresh submit after everything drained makes the set live again.
+    again = lassen4.submit(Jobspec(app="nqueens", nnodes=1))
+    assert not jm.all_complete() and not _scan_complete(jm)
+    _step_checking(lassen4, jm)
+    assert again.state is JobState.COMPLETED
+
+
+@pytest.mark.parametrize("sharded", [False, True])
+def test_site_all_complete_waits_for_deferred_arrivals(sharded):
+    from repro.federation import ClusterSpec, SiteConfig, create_site
+
+    config = SiteConfig(
+        site_budget_w=40000.0,
+        rebalance_epoch_s=10.0,
+        sharded=sharded,
+        clusters=(
+            ClusterSpec(name="alpha", platform="lassen", n_nodes=4,
+                        node_peak_w=3050.0),
+            ClusterSpec(name="beta", platform="tioga", n_nodes=2,
+                        node_peak_w=3200.0),
+        ),
+    )
+    site = create_site(config, 5)
+    site.submit("alpha", Jobspec(app="laghos", nnodes=1))
+    site.submit_at("beta", Jobspec(app="laghos", nnodes=1), 40.0)
+    assert not site.all_complete()
+    site.run_for(30.0)
+    # alpha's job is done, beta's has not arrived: still incomplete.
+    alpha = site.clusters["alpha"].instance.jobmanager
+    beta = site.clusters["beta"].instance.jobmanager
+    assert alpha.all_complete() and _scan_complete(alpha)
+    assert len(beta.jobs) == 0
+    assert not site.all_complete()
+    site.run_until_complete()
+    assert site.all_complete()
+    for jm in (alpha, beta):
+        assert len(jm.jobs) == 1
+        assert jm.all_complete() and _scan_complete(jm)

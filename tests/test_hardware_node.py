@@ -1,8 +1,10 @@
 """Unit tests for the node model and platform specs."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.hardware.domains import DomainKind
+from repro.hardware.domains import DomainKind, PowerDomain
 from repro.hardware.platforms import PLATFORM_SPECS, make_node
 from repro.hardware.platforms.lassen import make_lassen_node
 from repro.hardware.platforms.tioga import make_tioga_node
@@ -156,3 +158,167 @@ def test_cpu_throttle_includes_opal_residual():
     for dom in node.gpu_domains:
         dom.set_demand(300.0)
     assert node.cpu_throttle() < 1.0
+
+
+# ---------------------------------------------------------------------------
+# Power-revision memo: invalidation under every writer
+# ---------------------------------------------------------------------------
+
+#: Fractions of a dial's range; values outside [0, 1] exercise clamping,
+#: and the small set makes repeated writes of one value common.
+_fracs = st.sampled_from([-0.2, 0.0, 0.1, 0.37, 0.5, 0.8, 1.0, 1.25])
+_idx = st.integers(0, 7)
+
+_ops = st.one_of(
+    st.tuples(st.just("demand"), _idx, _fracs),
+    st.tuples(st.just("clear_demand"), _idx),
+    st.tuples(st.just("node_clear_demand")),
+    st.tuples(st.just("cap"), _idx, st.sampled_from(["a", "b"]), _fracs),
+    st.tuples(st.just("uncap"), _idx, st.sampled_from(["a", "b"])),
+    st.tuples(
+        st.just("opal"),
+        st.sampled_from([500.0, 1000.0, 1200.0, 1800.0, 1950.0, 3050.0]),
+    ),
+    st.tuples(st.just("opal_clear")),
+    st.tuples(st.just("nvml"), _idx, _fracs),
+    st.tuples(st.just("nvml_clear")),
+    st.tuples(st.just("esmi_socket"), _idx, _fracs),
+    st.tuples(st.just("esmi_oam"), _idx, _fracs),
+    st.tuples(st.just("rapl"), _idx, _fracs),
+)
+
+
+def _memo_node(platform: str):
+    if platform == "generic":
+        node = make_generic_node("m0", n_gpus=2)
+    else:
+        node = make_node(platform, "m0")
+    if node.esmi is not None:
+        node.esmi.user_capping_enabled = True
+    return node
+
+
+def _pick(seq, i):
+    return seq[i % len(seq)] if seq else None
+
+
+def _in_range(dom, frac):
+    spec = dom.spec
+    lo = spec.min_cap_w if spec.min_cap_w is not None else 0.0
+    hi = spec.max_cap_w if spec.max_cap_w is not None else spec.max_w
+    return lo + min(max(frac, 0.0), 1.0) * (hi - lo)
+
+
+def _apply(node, op) -> None:
+    """Run one writer; writers the platform lacks are skipped."""
+    kind = op[0]
+    doms = list(node.domains.values())
+    cappable = [d for d in doms if d.spec.cappable]
+    if kind == "demand":
+        dom = _pick(doms, op[1])
+        dom.set_demand(dom.spec.idle_w + op[2] * (dom.spec.max_w - dom.spec.idle_w))
+    elif kind == "clear_demand":
+        _pick(doms, op[1]).clear_demand()
+    elif kind == "node_clear_demand":
+        node.clear_demand()
+    elif kind == "cap" and cappable:
+        dom = _pick(cappable, op[1])
+        dom.set_cap(op[2], dom.spec.idle_w + op[3] * dom.spec.max_w)
+    elif kind == "uncap" and cappable:
+        _pick(cappable, op[1]).set_cap(op[2], None)
+    elif kind == "opal" and node.opal is not None:
+        node.opal.set_node_power_cap(op[1])
+    elif kind == "opal_clear" and node.opal is not None:
+        node.opal.clear_node_power_cap()
+    elif kind == "nvml" and node.nvml is not None:
+        i = op[1] % node.nvml.gpu_count()
+        node.nvml.set_power_limit(i, _in_range(node.gpu_domains[i], op[2]))
+    elif kind == "nvml_clear" and node.nvml is not None:
+        node.nvml.clear_all()
+    elif kind == "esmi_socket" and node.esmi is not None and node.cpu_domains:
+        i = op[1] % len(node.cpu_domains)
+        node.esmi.set_socket_power_cap(i, _in_range(node.cpu_domains[i], op[2]))
+    elif kind == "esmi_oam" and node.esmi is not None:
+        i = op[1] % len(node.gpu_domains)
+        node.esmi.set_oam_power_cap(i, _in_range(node.gpu_domains[i], op[2]))
+    elif kind == "rapl" and node.rapl is not None:
+        i = op[1] % node.rapl.socket_count()
+        node.rapl.set_socket_power_cap(i, _in_range(node.cpu_domains[i], op[2]))
+
+
+def _from_scratch(node):
+    """(raw, total, per-GPU) recomputed without the memo, as float hex."""
+    raw = sum([d.actual_w for d in node.domains.values()])
+    total = raw
+    if node.opal is not None and node.opal.node_cap_w is not None:
+        idle = sum(d.spec.idle_w for d in node.domains.values())
+        total = min(raw, max(node.opal.node_cap_w, idle))
+    gpus = tuple(d.actual_w for d in node.gpu_domains)
+    return raw.hex(), total.hex(), tuple(g.hex() for g in gpus)
+
+
+def _memoized(node):
+    return (
+        node.raw_power_w().hex(),
+        node.total_power_w().hex(),
+        tuple(g.hex() for g in node.gpu_power_w()),
+    )
+
+
+def check_power_memo(platform: str, load: float, ops) -> None:
+    node = _memo_node(platform)
+    assert _memoized(node) == _from_scratch(node)
+    # Start from a loaded node so that caps bind from the first write.
+    for i in range(len(node.domains)):
+        _apply(node, ("demand", i, load))
+    for op in ops:
+        before, rev = _from_scratch(node), node.power_rev
+        _apply(node, op)
+        after = _from_scratch(node)
+        if after != before:
+            assert node.power_rev != rev, f"{op}: power changed, no bump"
+        assert _memoized(node) == after, op
+        # The same write again is a no-op: no revision, same values.
+        rev = node.power_rev
+        _apply(node, op)
+        assert node.power_rev == rev, f"{op}: no-op write bumped power_rev"
+        assert _memoized(node) == after, op
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, report_multiple_bugs=False)
+@given(
+    platform=st.sampled_from(["lassen", "tioga", "elcapitan", "generic"]),
+    load=_fracs,
+    ops=st.lists(_ops, min_size=1, max_size=25),
+)
+def test_power_memo_matches_recomputation(platform, load, ops):
+    check_power_memo(platform, load, ops)
+
+
+def _no_bump_set_demand(self, watts):
+    self._demand_w = float(min(max(watts, self.spec.idle_w), self.spec.max_w))
+
+
+def _no_bump_set_cap(self, source, watts):
+    if watts is None:
+        self._caps.pop(source, None)
+    else:
+        self._caps[source] = float(watts)
+
+
+@pytest.mark.parametrize(
+    "writer, planted",
+    [("set_demand", _no_bump_set_demand), ("set_cap", _no_bump_set_cap)],
+)
+def test_power_memo_suite_catches_missing_bump(monkeypatch, writer, planted):
+    """A writer that forgets its ``power_rev`` bump fails the suite."""
+    monkeypatch.setattr(PowerDomain, writer, planted)
+    with pytest.raises(AssertionError):
+        test_power_memo_matches_recomputation()
+
+
+def test_domain_views_are_built_once():
+    node = make_lassen_node("n0")
+    assert node.gpu_domains is node.gpu_domains
+    assert isinstance(node.cpu_domains, tuple)
+    assert node.by_kind(DomainKind.GPU) == list(node.gpu_domains)

@@ -174,6 +174,10 @@ def test_sample_cached_equals_full_rebuild():
 )
 def test_power_mutations_invalidate_template(mutate):
     node = make_lassen_node("n0")
+    # A loaded, node-capped start, so that every mutation (the clears
+    # included) changes installed state.
+    node.domains["cpu0"].set_demand(250.0)
+    node.opal.set_node_power_cap(1800.0)
     backend = get_backend(node.spec.vendor)
     backend.sample_cached(node, 0.0)  # prime the template
     rev = node.power_rev
@@ -181,6 +185,32 @@ def test_power_mutations_invalidate_template(mutate):
     assert node.power_rev > rev, "mutation must bump power_rev"
     after = backend.sample_cached(node, 2.0)
     assert after == backend.get_node_power_json(node, 2.0)
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda node: node.domains["gpu0"].set_demand(0.0),  # clamps to idle
+        lambda node: node.domains["cpu0"].clear_demand(),
+        lambda node: node.domains["cpu0"].set_cap("test", None),
+        lambda node: node.opal.clear_node_power_cap(),
+        lambda node: node.nvml.clear_all(),
+    ],
+)
+def test_no_op_writes_keep_template(write):
+    """Rewriting installed state keeps ``power_rev``, so the template
+    (and the node's power memo) stay valid."""
+    node = make_lassen_node("n0")
+    backend = get_backend(node.spec.vendor)
+    first = backend.sample_cached(node, 0.0)
+    rev = node.power_rev
+    write(node)
+    assert node.power_rev == rev, "no-op write must not bump power_rev"
+    hit = backend.sample_cached(node, 2.0)
+    assert hit == backend.get_node_power_json(node, 2.0)
+    assert {k: v for k, v in hit.items() if k != "timestamp"} == {
+        k: v for k, v in first.items() if k != "timestamp"
+    }
 
 
 def test_template_reflects_demand_change():

@@ -21,9 +21,11 @@
 #              then a forced-tenancy fuzz batch under the tenant
 #              invariant checkers (see docs/tenancy.md)
 #   perfbench - the repository benchmark's own tests (perfbench/tests, outside
-#              the tier-1 testpaths), then a 1 s telemetry_sweep run on seed 1
-#              that must exit 0: it checks the query latencies pinned in
-#              perfbench/expected.json, so the monitor query path stays
+#              the tier-1 testpaths), then two 1 s runs on seed 1 that must
+#              exit 0 against perfbench/expected.json: telemetry_sweep checks
+#              the pinned query latencies (the monitor query path) and
+#              policy_site checks the site digest and every job's runtime and
+#              energy (the hardware/manager policy path), so both stay
 #              bit-identical
 #   bench    - quick perf suite compared against the committed
 #              BENCH_columnar.json baseline; OFF by default (set
@@ -144,6 +146,9 @@ for stage in $STAGES; do
             python -m pytest -q perfbench/tests
             banner "perfbench: telemetry_sweep seed 1 against perfbench/expected.json"
             python3 perfbench/run.py --workload telemetry_sweep --seed 1 \
+                --seconds 1 --trace 0
+            banner "perfbench: policy_site seed 1 against perfbench/expected.json"
+            python3 perfbench/run.py --workload policy_site --seed 1 \
                 --seconds 1 --trace 0
             ;;
         bench)
